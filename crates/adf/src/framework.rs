@@ -39,6 +39,7 @@ pub struct AndroidFramework {
     spec: FrameworkSpec,
     database: OnceLock<Arc<ApiDatabase>>,
     permissions: OnceLock<Arc<PermissionMap>>,
+    fingerprint: OnceLock<u64>,
     class_source: OnceLock<Arc<dyn ClassSource>>,
     #[allow(clippy::type_complexity)]
     class_cache: Mutex<HashMap<(ApiLevel, ClassName), Option<Arc<ClassDef>>>>,
@@ -52,6 +53,7 @@ impl AndroidFramework {
             spec,
             database: OnceLock::new(),
             permissions: OnceLock::new(),
+            fingerprint: OnceLock::new(),
             class_source: OnceLock::new(),
             class_cache: Mutex::new(HashMap::new()),
         }
@@ -92,6 +94,15 @@ impl AndroidFramework {
             self.permissions
                 .get_or_init(|| Arc::new(PermissionMap::from_spec(&self.spec))),
         )
+    }
+
+    /// The spec's content fingerprint ([`FrameworkSpec::fingerprint`]),
+    /// walked on first use and then shared. Sound because the spec is
+    /// private and never mutated once wrapped; two frameworks built
+    /// from equal specs give equal values.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.spec.fingerprint())
     }
 
     /// Seeds the database slot with an externally reconstructed
@@ -172,6 +183,42 @@ mod tests {
         let a = fw.database();
         let b = fw.database();
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn fingerprint_memo_equals_a_fresh_walk() {
+        for fw in [
+            AndroidFramework::curated(),
+            AndroidFramework::with_scale(&SynthConfig::small()),
+            AndroidFramework::with_scale(&SynthConfig::paper()),
+        ] {
+            let walked = fw.spec().fingerprint();
+            assert_eq!(fw.fingerprint(), walked);
+            assert_eq!(fw.fingerprint(), walked, "memo is stable");
+            let twin = AndroidFramework::from_spec(fw.spec().clone());
+            assert_eq!(twin.fingerprint(), walked, "content, not identity");
+        }
+    }
+
+    #[test]
+    fn different_specs_fingerprint_differently() {
+        let curated = AndroidFramework::curated();
+        let small = AndroidFramework::with_scale(&SynthConfig::small());
+        assert_ne!(curated.fingerprint(), small.fingerprint());
+
+        // One changed method weight is enough to move it.
+        let mut spec = curated.spec().clone();
+        let mut class = spec
+            .classes()
+            .find(|c| !c.methods.is_empty())
+            .expect("curated spec has methods")
+            .clone();
+        class.methods[0].weight += 1;
+        spec.add_class(class);
+        assert_ne!(
+            AndroidFramework::from_spec(spec).fingerprint(),
+            curated.fingerprint()
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use std::collections::BTreeMap;
 
 use saint_ir::{
-    ApiLevel, BodyBuilder, ClassDef, ClassName, ClassOrigin, InvokeKind, MethodDef, MethodFlags,
-    MethodRef, MethodSig, Permission,
+    fnv1a, ApiLevel, BodyBuilder, ClassDef, ClassName, ClassOrigin, InvokeKind, MethodDef,
+    MethodFlags, MethodRef, MethodSig, Permission, FNV_OFFSET,
 };
 
 /// Lifetime of an API member: the level that introduced it and, if it
@@ -228,6 +228,20 @@ impl ClassSpec {
     }
 }
 
+fn mix(hash: &mut u64, bytes: &[u8]) {
+    *hash = fnv1a(bytes, *hash);
+    // Separator byte so ("ab","c") and ("a","bc") hash differently.
+    *hash = fnv1a(&[0xff], *hash);
+}
+
+fn mix_life(hash: &mut u64, life: LifeSpan) {
+    mix(hash, &[life.since.get()]);
+    match life.removed {
+        Some(l) => mix(hash, &[1, l.get()]),
+        None => mix(hash, &[0]),
+    }
+}
+
 /// The whole framework history: every class spec, queryable and
 /// materializable per level.
 #[derive(Debug, Clone, Default)]
@@ -268,6 +282,47 @@ impl FrameworkSpec {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.classes.is_empty()
+    }
+
+    /// A stable FNV-1a content fingerprint of the spec: any change to a
+    /// class, method, lifetime, permission annotation, call edge, or
+    /// body weight changes it. Frozen images record it in their header
+    /// and delta keys fold it in, so both go stale with the spec.
+    ///
+    /// This walks every class and method. Callers holding an
+    /// [`AndroidFramework`](crate::AndroidFramework) should use its
+    /// memoized [`fingerprint`](crate::AndroidFramework::fingerprint).
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        let mut hash = FNV_OFFSET;
+        for class in self.classes() {
+            mix(&mut hash, class.name.as_str().as_bytes());
+            match &class.super_class {
+                Some(s) => mix(&mut hash, s.as_str().as_bytes()),
+                None => mix(&mut hash, &[]),
+            }
+            for i in &class.interfaces {
+                mix(&mut hash, i.as_str().as_bytes());
+            }
+            mix_life(&mut hash, class.life);
+            for m in &class.methods {
+                mix(&mut hash, m.name.as_bytes());
+                mix(&mut hash, m.descriptor.as_bytes());
+                mix_life(&mut hash, m.life);
+                for p in &m.permissions {
+                    mix(&mut hash, p.as_str().as_bytes());
+                }
+                for c in &m.calls {
+                    mix(&mut hash, c.target.class.as_str().as_bytes());
+                    mix(&mut hash, c.target.name.as_bytes());
+                    mix(&mut hash, c.target.descriptor.as_bytes());
+                    mix(&mut hash, &[c.guard.map_or(0, ApiLevel::get)]);
+                }
+                mix(&mut hash, &(m.weight as u64).to_le_bytes());
+                mix(&mut hash, &[u8::from(m.is_abstract)]);
+            }
+        }
+        hash
     }
 
     /// The *API surface* at a level: `(class, signature)` pairs of every

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use saint_ir::{ApiLevel, ClassDef, ClassName, MethodRef};
+use saint_ir::{fnv1a, ApiLevel, ClassDef, ClassName, MethodRef, FNV_OFFSET};
 use saint_sync::RwLock;
 
 use crate::explore::MethodArtifacts;
@@ -74,11 +74,10 @@ impl ShardedClassCache {
     }
 
     fn shard_of(&self, level: ApiLevel, name: &ClassName) -> &Shard {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ u64::from(level.get());
-        for b in name.as_str().bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let hash = fnv1a(
+            name.as_str().as_bytes(),
+            FNV_OFFSET ^ u64::from(level.get()),
+        );
         &self.shards[(hash as usize) % self.shards.len()]
     }
 

@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use saint_ir::{ClassDef, ClassName, MethodDef, MethodRef, MethodSig};
+use saint_ir::{fnv1a, ClassDef, ClassName, MethodDef, MethodRef, MethodSig, FNV_OFFSET};
 use saint_obs::MetricsRegistry;
 use saint_sync::RwLock;
 
@@ -71,12 +71,7 @@ pub struct Clvm {
 }
 
 fn shard_index(name: &ClassName, shards: usize) -> usize {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.as_str().bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (hash as usize) % shards
+    (fnv1a(name.as_str().as_bytes(), FNV_OFFSET) as usize) % shards
 }
 
 impl Clvm {

@@ -46,7 +46,7 @@ use std::time::Instant;
 use saint_analysis::{ArtifactCache, ShardedClassCache};
 use saint_bench::{framework_at, Scale};
 use saint_corpus::RealWorldCorpus;
-use saint_ir::Apk;
+use saint_ir::{fnv1a, Apk, FNV_OFFSET};
 use saintdroid::amd::invocation::DeepScanCache;
 use saintdroid::engine::default_jobs;
 use saintdroid::{Report, SaintDroid, ScanEngine};
@@ -373,14 +373,6 @@ struct SideRun {
     scan_hit_rate: f64,
 }
 
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 fn corpus_apks(scale: Scale) -> Vec<Apk> {
     let corpus = RealWorldCorpus::new(scale.realworld_config());
     (0..corpus.len()).map(|i| corpus.get(i).apk).collect()
@@ -413,7 +405,7 @@ fn large_app_jobs() -> usize {
 }
 
 fn fingerprint_reports(reports: &[Report]) -> String {
-    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV_OFFSET;
     for report in reports {
         hash = fnv1a(digest(report).as_bytes(), hash);
         hash = fnv1a(b"\n", hash);
@@ -507,7 +499,8 @@ fn engine_side_run(engine: &ScanEngine, reports: &[Report], wall_secs: f64) -> S
         run.metrics_explore_secs = phase_secs("explore");
         run.metrics_detect_secs = phase_secs("detect_invocation")
             + phase_secs("detect_callback")
-            + phase_secs("detect_permission");
+            + phase_secs("detect_permission")
+            + phase_secs("detect_declared_sdk");
         run.metrics_scan_secs = phase_secs("scan_total");
         run.metrics_scan_spans = snap.registry.phase("scan_total").map_or(0, |p| p.count);
         run.class_hit_rate = snap.class_cache.map_or(0.0, |c| c.hit_rate());
@@ -800,7 +793,7 @@ fn one_pipelined_pass(
             i % apps
         );
     }
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut hash = FNV_OFFSET;
     let mut mismatches = 0usize;
     for (d, m) in &digests[..apps] {
         hash = fnv1a(d.as_bytes(), hash);

@@ -30,12 +30,11 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
-use saint_ir::ApiLevel;
+use saint_ir::{fnv1a, ApiLevel, FNV_OFFSET};
 use saint_obs::{Counter, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CampaignError;
-use crate::registry::fnv1a;
 use crate::store::report_fingerprint;
 
 /// One mismatch, reduced to what the aggregate roll-ups need. The full
@@ -179,7 +178,7 @@ impl JournalWriter {
         let payload = serde_json::to_string(record).map_err(|e| {
             CampaignError::io("journal record serialization", std::io::Error::other(e))
         })?;
-        let crc = fnv1a(payload.as_bytes(), 0xcbf2_9ce4_8422_2325);
+        let crc = fnv1a(payload.as_bytes(), FNV_OFFSET);
         self.buf.extend_from_slice(CRC_PREFIX.as_bytes());
         self.buf.extend_from_slice(format!("{crc:016x}").as_bytes());
         self.buf.extend_from_slice(REC_PREFIX.as_bytes());
@@ -311,7 +310,7 @@ fn parse_line(line: &[u8]) -> Result<JournalRecord, String> {
         return Err("torn line".to_string());
     }
     let payload = &text[PAYLOAD_AT..text.len() - 1];
-    let actual = fnv1a(payload.as_bytes(), 0xcbf2_9ce4_8422_2325);
+    let actual = fnv1a(payload.as_bytes(), FNV_OFFSET);
     if actual != crc {
         return Err(format!("crc mismatch ({actual:016x} != {crc_hex})"));
     }

@@ -18,7 +18,7 @@
 use std::path::{Path, PathBuf};
 
 use saint_frozen::FrozenCorpus;
-use saint_ir::codec;
+use saint_ir::{codec, fnv1a, FNV_OFFSET};
 
 use crate::error::CampaignError;
 
@@ -222,20 +222,9 @@ fn read_entry<'c>(
 /// NUL), and the exact bytes.
 #[must_use]
 pub fn unit_id(package: &str, container: &[u8]) -> u64 {
-    let mut hash = fnv1a(package.as_bytes(), 0xcbf2_9ce4_8422_2325);
+    let mut hash = fnv1a(package.as_bytes(), FNV_OFFSET);
     hash = fnv1a(&[0], hash);
     fnv1a(container, hash)
-}
-
-/// FNV-1a over `bytes`, continuing from `hash` — the same
-/// deterministic digest primitive the bench and retry jitter use.
-#[must_use]
-pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

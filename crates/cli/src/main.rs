@@ -233,7 +233,7 @@ fn default_frozen_path(fw: &AndroidFramework) -> std::path::PathBuf {
     if let Ok(path) = std::env::var("SAINT_FROZEN_IMAGE") {
         return std::path::PathBuf::from(path);
     }
-    let fp = saint_frozen::spec_fingerprint(fw.spec());
+    let fp = fw.fingerprint();
     std::path::PathBuf::from(".saint/frozen").join(format!("framework-{fp:016x}.sfrz"))
 }
 

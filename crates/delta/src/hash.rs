@@ -10,7 +10,10 @@
 //!   an artifact scanned by three families must never be replayed as
 //!   the verdict of four (it would splice reports silently missing the
 //!   new family's findings);
-//! * the framework model fingerprint ([`saint_frozen::spec_fingerprint`]);
+//! * the framework model fingerprint
+//!   ([`AndroidFramework::fingerprint`](saint_adf::AndroidFramework::fingerprint),
+//!   the spec walk of [`saint_frozen::spec_fingerprint`] memoized once
+//!   per framework);
 //! * the exploration policy (`ExploreConfig` — e.g. an ablation build
 //!   must not reuse a default-policy artifact);
 //! * the app manifest (supported level range, permissions, target —
@@ -21,7 +24,7 @@
 //! are parity-tested to be identical across those, so artifacts are
 //! shared across them.
 
-use saint_frozen::{fnv1a, spec_fingerprint, FNV_OFFSET};
+use saint_frozen::{fnv1a, FNV_OFFSET};
 use saint_ir::{codec, Apk, ClassDef, Manifest};
 use saintdroid::SaintDroid;
 
@@ -47,10 +50,8 @@ pub fn context_fingerprint(tool: &SaintDroid) -> u64 {
     // wrong-report splice.
     h = fnv1a(&saintdroid::REPORT_SCHEMA_VERSION.to_le_bytes(), h);
     h = fnv1a(&[tool.detectors().bits()], h);
-    h = fnv1a(
-        &spec_fingerprint(tool.arm().framework().spec()).to_le_bytes(),
-        h,
-    );
+    // Memoized per framework: a rescan never re-walks the spec.
+    h = fnv1a(&tool.arm().framework().fingerprint().to_le_bytes(), h);
     let c = tool.config();
     h = fnv1a(
         &[

@@ -126,8 +126,10 @@ impl DeltaScanner {
     /// bytes (`sapk` must be the canonical encoding of `apk` — the
     /// daemon's wire payload, a `.sapk` file's contents). The whole-app
     /// fast path is keyed by **one sequential FNV pass over the
-    /// container bytes** instead of the structural per-class walk,
-    /// which is the dominant cost of an unchanged-app rescan. The
+    /// container bytes** instead of the structural per-class walk of
+    /// [`scan`](Self::scan). The context key's framework part is
+    /// memoized per framework, so an unchanged-app rescan hashes only
+    /// the app's own bytes before its store read. The
     /// canonical encoding makes the key sound: byte-identical
     /// containers decode to identical apps. A byte-level miss (even a
     /// re-encoding of the same app) degrades to the structural

@@ -22,6 +22,8 @@
 //! check before touching bytes — a corrupted table yields a typed
 //! [`FrozenError`], never an out-of-bounds access.
 
+use saint_ir::{fnv1a, FNV_OFFSET};
+
 use crate::error::FrozenError;
 use crate::mmap::MappedBytes;
 
@@ -63,20 +65,6 @@ pub mod section {
     /// Concatenated SAPK containers.
     pub const CORPUS_BLOBS: u32 = 9;
 }
-
-/// The multiplicative FNV-1a 64-bit hash the repo standardizes on for
-/// fingerprints and checksums.
-#[must_use]
-pub fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// FNV-1a offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn align8(n: usize) -> usize {
     (n + 7) & !7

@@ -26,8 +26,7 @@ use saint_ir::{codec, ApiLevel, ClassDef, ClassName, MethodRef, Permission};
 
 use crate::error::FrozenError;
 use crate::format::{
-    assemble, fnv1a, layout_offsets, put_str, put_varint, section, Cursor, Image, FNV_OFFSET,
-    KIND_FRAMEWORK,
+    assemble, layout_offsets, put_str, put_varint, section, Cursor, Image, KIND_FRAMEWORK,
 };
 use crate::mmap::MappedBytes;
 
@@ -35,56 +34,15 @@ use crate::mmap::MappedBytes;
 /// level u32, blob_off u64, blob_len u64`.
 const INDEX_ENTRY_LEN: usize = 32;
 
-fn mix(hash: &mut u64, bytes: &[u8]) {
-    *hash = fnv1a(bytes, *hash);
-    // Separator byte so ("ab","c") and ("a","bc") hash differently.
-    *hash = fnv1a(&[0xff], *hash);
-}
-
-fn mix_life(hash: &mut u64, life: LifeSpan) {
-    mix(hash, &[life.since.get()]);
-    match life.removed {
-        Some(l) => mix(hash, &[1, l.get()]),
-        None => mix(hash, &[0]),
-    }
-}
-
-/// A stable content fingerprint of a framework spec: any change to a
-/// class, method, lifetime, permission annotation, call edge, or body
-/// weight changes the fingerprint. Recorded in the image header so an
+/// The stable content fingerprint of a framework spec
+/// ([`FrameworkSpec::fingerprint`]), recorded in the image header so an
 /// attach against a *different* live spec is refused (and the caller
-/// falls back to parse-and-freeze).
+/// falls back to parse-and-freeze). This walks the whole spec; holders
+/// of an [`AndroidFramework`] use its memoized
+/// [`AndroidFramework::fingerprint`] instead.
 #[must_use]
 pub fn spec_fingerprint(spec: &FrameworkSpec) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for class in spec.classes() {
-        mix(&mut hash, class.name.as_str().as_bytes());
-        match &class.super_class {
-            Some(s) => mix(&mut hash, s.as_str().as_bytes()),
-            None => mix(&mut hash, &[]),
-        }
-        for i in &class.interfaces {
-            mix(&mut hash, i.as_str().as_bytes());
-        }
-        mix_life(&mut hash, class.life);
-        for m in &class.methods {
-            mix(&mut hash, m.name.as_bytes());
-            mix(&mut hash, m.descriptor.as_bytes());
-            mix_life(&mut hash, m.life);
-            for p in &m.permissions {
-                mix(&mut hash, p.as_str().as_bytes());
-            }
-            for c in &m.calls {
-                mix(&mut hash, c.target.class.as_str().as_bytes());
-                mix(&mut hash, c.target.name.as_bytes());
-                mix(&mut hash, c.target.descriptor.as_bytes());
-                mix(&mut hash, &[c.guard.map_or(0, ApiLevel::get)]);
-            }
-            mix(&mut hash, &(m.weight as u64).to_le_bytes());
-            mix(&mut hash, &[u8::from(m.is_abstract)]);
-        }
-    }
-    hash
+    spec.fingerprint()
 }
 
 fn put_life(buf: &mut Vec<u8>, life: LifeSpan) {
@@ -221,7 +179,7 @@ pub fn freeze_framework(framework: &AndroidFramework) -> Vec<u8> {
 
     assemble(
         KIND_FRAMEWORK,
-        spec_fingerprint(spec),
+        framework.fingerprint(),
         &[
             (section::API_METHODS, api_methods),
             (section::API_CLASSES, api_classes),
@@ -567,14 +525,16 @@ impl FrozenFramework {
         Ok(())
     }
 
-    /// Attach-time compatibility check against the live spec: refuses
-    /// an image compiled from a different framework.
+    /// Attach-time compatibility check against the live framework's
+    /// spec: refuses an image compiled from a different framework.
+    /// Reads the framework's memoized fingerprint, so it never walks
+    /// the spec a second time.
     ///
     /// # Errors
     ///
     /// [`FrozenError::SpecMismatch`] when fingerprints differ.
-    pub fn verify_spec(&self, spec: &FrameworkSpec) -> Result<(), FrozenError> {
-        let live = spec_fingerprint(spec);
+    pub fn verify_spec(&self, framework: &AndroidFramework) -> Result<(), FrozenError> {
+        let live = framework.fingerprint();
         if live != self.fingerprint() {
             return Err(FrozenError::SpecMismatch {
                 image: self.fingerprint(),
@@ -711,7 +671,7 @@ mod tests {
         let (_, frozen) = frozen_curated();
         let other = AndroidFramework::with_scale(&saint_adf::SynthConfig::small());
         assert!(matches!(
-            frozen.verify_spec(other.spec()),
+            frozen.verify_spec(&other),
             Err(FrozenError::SpecMismatch { .. })
         ));
     }
@@ -768,7 +728,7 @@ mod tests {
         let frozen = FrozenFramework::open(&path).unwrap();
         assert_eq!(frozen.bytes_len(), bytes.len() as u64);
         assert!(frozen.is_mapped());
-        assert!(frozen.verify_spec(fw.spec()).is_ok());
+        assert!(frozen.verify_spec(&fw).is_ok());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -33,11 +33,10 @@ mod mmap;
 
 pub use corpus::{freeze_apks, freeze_corpus, FrozenCorpus};
 pub use error::FrozenError;
-pub use format::{
-    fnv1a, Cursor, Image, FNV_OFFSET, FORMAT_VERSION, KIND_CORPUS, KIND_FRAMEWORK, MAGIC,
-};
+pub use format::{Cursor, Image, FORMAT_VERSION, KIND_CORPUS, KIND_FRAMEWORK, MAGIC};
 pub use framework::{freeze_framework, spec_fingerprint, FrozenClassSource, FrozenFramework};
 pub use mmap::MappedBytes;
+pub use saint_ir::{fnv1a, FNV_OFFSET};
 
 use std::path::Path;
 use std::sync::Arc;
@@ -70,7 +69,7 @@ pub fn load_or_freeze(
 ) -> Result<(Arc<FrozenFramework>, BootSource), FrozenError> {
     if path.exists() {
         if let Ok(frozen) = FrozenFramework::open(path) {
-            if frozen.verify_spec(framework.spec()).is_ok() {
+            if frozen.verify_spec(framework).is_ok() {
                 return Ok((Arc::new(frozen), BootSource::Attached));
             }
         }
@@ -116,7 +115,7 @@ mod tests {
         let fw = AndroidFramework::curated();
         let (frozen, second) = load_or_freeze(&path, &fw).unwrap();
         assert_eq!(second, BootSource::Compiled);
-        assert!(frozen.verify_spec(fw.spec()).is_ok());
+        assert!(frozen.verify_spec(&fw).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -133,7 +132,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let (frozen, source) = load_or_freeze(&path, &fw).unwrap();
         assert_eq!(source, BootSource::Compiled);
-        assert!(frozen.verify_spec(fw.spec()).is_ok());
+        assert!(frozen.verify_spec(&fw).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,6 +17,8 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
 
+use crate::fnv::{fnv1a, FNV_OFFSET};
+
 const SHARD_COUNT: usize = 16;
 
 struct Interner {
@@ -34,12 +36,7 @@ static INTERNER: LazyLock<Interner> = LazyLock::new(|| Interner {
 fn shard_of(text: &str) -> usize {
     // FNV-1a: deterministic across runs (unlike RandomState), so shard
     // load is reproducible in benchmarks.
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (hash as usize) % SHARD_COUNT
+    (fnv1a(text.as_bytes(), FNV_OFFSET) as usize) % SHARD_COUNT
 }
 
 /// Returns the canonical `Arc<str>` for `text`, inserting it on first

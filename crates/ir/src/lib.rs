@@ -51,6 +51,7 @@ mod builder;
 mod class;
 pub mod codec;
 mod error;
+mod fnv;
 mod instr;
 pub mod intern;
 mod level;
@@ -62,6 +63,7 @@ pub use body::{BasicBlock, BlockId, MethodBody, Terminator};
 pub use builder::{ApkBuilder, BodyBuilder, ClassBuilder};
 pub use class::{ClassDef, ClassOrigin, FieldDef, MethodDef, MethodFlags};
 pub use error::{CodecError, IrError};
+pub use fnv::{fnv1a, FNV_OFFSET};
 pub use instr::{BinOp, Cond, Instr, InvokeKind, Operand, Reg};
 pub use intern::{intern, intern_stats, InternStats};
 pub use level::{ApiLevel, LevelRange};

@@ -18,6 +18,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use saint_ir::{fnv1a, FNV_OFFSET};
 use saint_obs::{Counter, MetricsRegistry};
 use serde::Deserialize as _;
 
@@ -112,21 +113,19 @@ impl RetryPolicy {
             .base
             .saturating_mul(1_u32 << attempt.saturating_sub(1).min(16))
             .min(self.cap);
-        let jitter_unit = fnv1a(seed ^ u64::from(attempt)) % 256;
+        // FNV-1a is the deterministic stand-in for an RNG: nothing here
+        // needs unpredictability, only de-synchronization.
+        let jitter_unit = fnv1a(&(seed ^ u64::from(attempt)).to_le_bytes(), FNV_OFFSET) % 256;
         let jitter = exp.mul_f64(jitter_unit as f64 / 256.0 * 0.25);
         exp + jitter
     }
 }
 
-/// FNV-1a — the deterministic stand-in for an RNG (nothing here needs
-/// unpredictability, only de-synchronization).
-fn fnv1a(x: u64) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in x.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// The per-daemon retry-jitter seed: clients of different daemons
+/// de-synchronize even when they retry the same attempt number.
+fn jitter_seed(addr: &str) -> u64 {
+    let folded = addr.bytes().map(u64::from).fold(0, |a, b| a << 1 | b);
+    fnv1a(&folded.to_le_bytes(), FNV_OFFSET)
 }
 
 /// Submits one SAPK scan with reconnect-and-retry on transient
@@ -146,7 +145,7 @@ pub fn scan_with_retries(
     policy: RetryPolicy,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<(ScanResponse, u32), ClientError> {
-    let seed = fnv1a(addr.bytes().map(u64::from).fold(0, |a, b| a << 1 | b));
+    let seed = jitter_seed(addr);
     let mut attempt = 0_u32;
     loop {
         let outcome = Client::connect(addr).and_then(|mut c| c.scan_sapk(sapk_bytes, deadline_ms));
@@ -440,7 +439,7 @@ impl PipelinedClient {
         sapks: &[B],
         deadline_ms: Option<u64>,
     ) -> Result<(Vec<ScanResponse>, Vec<Duration>), ClientError> {
-        let seed = fnv1a(self.addr.bytes().map(u64::from).fold(0, |a, b| a << 1 | b));
+        let seed = jitter_seed(&self.addr);
         let mut sent_at: Vec<Instant> = vec![Instant::now(); sapks.len()];
         let mut latencies: Vec<Duration> = vec![Duration::ZERO; sapks.len()];
         let mut results: Vec<Option<ScanResponse>> = Vec::new();
